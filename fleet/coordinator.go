@@ -14,7 +14,6 @@ import (
 	"gsfl/internal/metrics"
 	"gsfl/internal/transport"
 	"gsfl/obs"
-	"gsfl/sim"
 	"gsfl/sweep"
 )
 
@@ -45,7 +44,6 @@ type Config struct {
 
 // jobState tracks one unique job through the lease lifecycle.
 type jobState struct {
-	idx  int
 	job  sweep.Job
 	done bool
 
@@ -65,7 +63,6 @@ type Coordinator struct {
 	store    *sweep.Store
 	jobs     []sweep.Job // the caller's list, duplicates included
 	unique   []sweep.Job
-	indexOf  map[string]int
 	fp       uint64
 	listener net.Listener
 
@@ -99,8 +96,8 @@ type Coordinator struct {
 
 // Serve starts a coordinator listening on addr ("host:port"; port 0
 // picks a free one — see Addr). The store must be open and exclusive to
-// this process; jobs are deduplicated by content ID exactly like the
-// in-process Scheduler, and already-recorded jobs count as done
+// this process; jobs are deduplicated by content ID (sweep.Dedup, as in
+// the in-process Scheduler), and already-recorded jobs count as done
 // immediately.
 func Serve(addr string, jobs []sweep.Job, store *sweep.Store, cfg Config) (*Coordinator, error) {
 	if cfg.LeaseTTL <= 0 {
@@ -109,38 +106,29 @@ func Serve(addr string, jobs []sweep.Job, store *sweep.Store, cfg Config) (*Coor
 	if cfg.Retry <= 0 {
 		cfg.Retry = DefaultRetry
 	}
+	unique, _, err := sweep.Dedup(jobs)
+	if err != nil {
+		return nil, err
+	}
 	c := &Coordinator{
-		cfg:     cfg,
-		store:   store,
-		jobs:    jobs,
-		indexOf: map[string]int{},
-		byID:    map[string]*jobState{},
-		conns:   map[uint64]net.Conn{},
-		doneCh:  make(chan struct{}),
-		reg:     metrics.NewRegistry(),
-	}
-	for _, j := range jobs {
-		if j.ID == "" {
-			return nil, fmt.Errorf("fleet: job %q has no ID (expand jobs via Grid.Jobs)", j.Name)
-		}
-		if _, ok := c.indexOf[j.ID]; ok {
-			continue
-		}
-		st := &jobState{idx: len(c.unique), job: j}
-		c.indexOf[j.ID] = st.idx
-		c.unique = append(c.unique, j)
-		c.states = append(c.states, st)
-		c.byID[j.ID] = st
-	}
-	// Resume: anything already in the manifest is done.
-	for _, st := range c.states {
-		if _, ok := store.Lookup(st.job.ID); ok {
-			st.done = true
-			c.doneN++
-		}
+		cfg:    cfg,
+		store:  store,
+		jobs:   jobs,
+		unique: unique,
+		byID:   map[string]*jobState{},
+		conns:  map[uint64]net.Conn{},
+		doneCh: make(chan struct{}),
+		reg:    metrics.NewRegistry(),
 	}
 	h := fnv.New64a()
-	for _, j := range c.unique {
+	for _, j := range unique {
+		st := &jobState{job: j}
+		// Resume: anything already in the manifest is done.
+		if _, st.done = store.Lookup(j.ID); st.done {
+			c.doneN++
+		}
+		c.states = append(c.states, st)
+		c.byID[j.ID] = st
 		_, _ = h.Write([]byte(j.ID))
 	}
 	c.fp = h.Sum64()
@@ -484,24 +472,18 @@ func (c *Coordinator) grantLease(fc *transport.FleetConn, tk *obs.Track, worker 
 	}
 
 	// Checkpoint handoff: attach the previous holder's uploaded state
-	// when it passes the same soundness check the Scheduler applies
-	// (checkpoint and progress sidecar agree on scheme and round).
+	// when the pair passes the store's resume rule (which drops it
+	// otherwise, so the job starts over from round 0).
 	j := st.job
 	var progJSON, ckpt []byte
 	handoffRound := 0
-	if c.cfg.CheckpointEvery > 0 && c.store.HasCheckpoint(j) {
-		prior, ok := c.store.LoadProgress(j)
-		scheme, ckptRound, peekErr := sim.PeekCheckpoint(c.store.CheckpointPath(j))
-		if ok && peekErr == nil && scheme == j.Scheme && ckptRound == prior.Round && ckptRound < j.Rounds {
+	if c.cfg.CheckpointEvery > 0 {
+		if prior, ok := c.store.ResumeOrDrop(j); ok {
 			if data, ok := c.store.ReadCheckpoint(j); ok {
 				if buf, err := json.Marshal(prior); err == nil {
-					progJSON, ckpt = buf, data
-					handoffRound = prior.Round
+					progJSON, ckpt, handoffRound = buf, data, prior.Round
 				}
 			}
-		}
-		if ckpt == nil {
-			c.store.DropTransient(j)
 		}
 	}
 
@@ -560,8 +542,8 @@ func (c *Coordinator) applyProgress(worker string, connID uint64, msg transport.
 		c.mStale.Inc()
 		return false
 	}
-	// Checkpoint first, then the sidecar — the same write order the
-	// Scheduler's resume-soundness rule assumes.
+	// Checkpoint first, then the sidecar — the write order the store's
+	// resume rule assumes.
 	if err := c.store.WriteCheckpoint(st.job, msg.Ckpt); err != nil {
 		return false
 	}
@@ -600,12 +582,12 @@ func (c *Coordinator) applyResult(tk *obs.Track, worker string, connID uint64, m
 		c.failLocked(err)
 		return true, nil
 	}
-	var parts sweep.ResultParts
-	if err := json.Unmarshal(msg.Body, &parts); err != nil {
-		c.failLocked(fmt.Errorf("fleet: decoding result for %s: %w", st.job.Name, err))
+	res, err := sweep.UnmarshalResultWire(st.job, msg.Body)
+	if err != nil {
+		c.failLocked(err)
 		return false, nil
 	}
-	if err := c.store.Record(sweep.ResultFrom(st.job, parts)); err != nil {
+	if err := c.store.Record(res); err != nil {
 		c.failLocked(err)
 		return false, nil
 	}

@@ -20,11 +20,14 @@
 //
 //   - Leases expire. A worker that stops heartbeating (crash, kill -9,
 //     partition) has its job reassigned; its uploaded checkpoints let
-//     the next worker resume mid-job bit-identically (the same
-//     resume-soundness rule as the Scheduler: checkpoint and progress
-//     sidecar must agree, else the job reruns from scratch — never
-//     wrong, only slower). A zombie worker's late messages are fenced
-//     by a per-grant lease nonce.
+//     the next worker resume mid-job bit-identically. The coordinator
+//     applies the sweep engine's one resume rule
+//     (sweep.Store.ResumeOrDrop, the call the Scheduler makes) before it
+//     attaches a checkpoint, and a worker checks the handoff against the
+//     same rule and runs every job through the Scheduler's own executor
+//     (sweep.RunLeased). An unsound pair is dropped and the job reruns
+//     from scratch — never wrong, only slower. A zombie worker's late
+//     messages are fenced by a per-grant lease nonce.
 //
 // Protocol (strictly worker-initiated request/response):
 //

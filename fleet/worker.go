@@ -320,7 +320,7 @@ func runLeasedJob(ctx context.Context, wc *workerConn, welcome transport.FleetWe
 			Body:        []byte(runErr.Error()),
 		})
 	}
-	body, err := json.Marshal(sweep.PartsOf(res))
+	body, err := sweep.MarshalResultWire(res)
 	if err != nil {
 		return sendResult(wc, transport.FleetResult{JobID: j.ID, Failed: true, Body: []byte(err.Error())})
 	}

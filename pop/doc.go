@@ -9,8 +9,10 @@
 // min-heap (internal/simnet's event queue). No member ever owns a live
 // model or loader: sampled members mount onto the environment's
 // physical client slots for one round (schemes.SlotBinding), so memory
-// is O(population · ~30 bytes) + O(slots · model), and per-round work
-// is O(cohort + availability toggles), independent of population size.
+// is O(population · ~30 bytes) + O(slots · model). Per-round work is
+// O(cohort + toggles · log P): every availability toggle due in the
+// round costs one heap pop and push, and under a churning trace the
+// number of toggles per round grows with the population size P.
 //
 // Availability follows registered churn traces (RegisterTrace:
 // "always-on", "onoff", "diurnal") and compute heterogeneity follows

@@ -57,8 +57,9 @@ type Config struct {
 // two RNG cursors, sample stamp, availability bit) plus one 16-byte
 // entry in the toggle event queue — never a live model, loader, or
 // per-member object. A million members fit in well under 64 MB, and
-// the steady-state path (BeginRound) allocates nothing: all per-round
-// work is O(cohort + toggles), independent of P.
+// the steady-state path (BeginRound) allocates nothing. Its per-round
+// work is O(cohort + toggles · log P), and under a churning trace the
+// toggles due per round grow with P.
 //
 // Determinism: every draw comes from a counter-based splitmix64 stream
 // keyed by (seed, salt, member-or-round, cursor), so the cohort of

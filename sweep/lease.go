@@ -1,14 +1,16 @@
 package sweep
 
 // Leased execution: the pieces the fleet job plane (gsfl/fleet) needs
-// to run one store-less job on a remote worker while keeping the
-// determinism contract. The coordinator owns the Store; a worker gets a
-// Job (and possibly a checkpoint handoff) over the wire, executes it
-// with RunLeased against a scratch directory, streams checkpoints back
-// through a callback, and ships the result home as ResultParts. All
-// cross-process payloads are JSON: Go's float64 encoding round-trips
-// exactly, so a result reconstructed on the coordinator is bit-equal to
-// one computed in-process.
+// to run a job on a remote worker while keeping the determinism
+// contract. The coordinator owns the Store and applies the resume rule
+// (Store.ResumeOrDrop) before it hands a checkpoint out; a worker gets a
+// Job (and possibly that checkpoint) over the wire, applies the same
+// rule to what arrived, and runs the job through the same executor as
+// the in-process Scheduler, with RunLeased uploading each checkpoint
+// instead of keeping it. Results travel as manifest Entries, the codec
+// the Store itself writes. All cross-process payloads are JSON: Go's
+// float64 encoding round-trips exactly, so a result reconstructed on
+// the coordinator is bit-equal to one computed in-process.
 
 import (
 	"context"
@@ -18,8 +20,6 @@ import (
 	"path/filepath"
 
 	"gsfl/internal/experiment"
-	"gsfl/internal/metrics"
-	"gsfl/internal/simnet"
 	"gsfl/sim"
 )
 
@@ -63,53 +63,21 @@ func UnmarshalJobWire(data []byte) (Job, error) {
 	return j, nil
 }
 
-// RehashJob recomputes a job's content-hash ID from its fields.
-func RehashJob(j Job) (string, error) { return experiment.RehashJob(j) }
-
-// ResultParts is a JobResult's cross-process encoding: everything the
-// coordinator needs to reconstruct the result (and so the manifest
-// entry) bit-identically, without shipping internal ledger types.
-type ResultParts struct {
-	TotalSeconds float64            `json:"total_seconds"`
-	Components   map[string]float64 `json:"components"`
-	Points       []Point            `json:"points"`
+// MarshalResultWire encodes a completed job's result for the fleet wire
+// as its manifest Entry.
+func MarshalResultWire(res JobResult) ([]byte, error) {
+	return json.Marshal(entryOf(res))
 }
 
-// PartsOf flattens a completed job's result for the fleet wire.
-func PartsOf(res JobResult) ResultParts {
-	p := ResultParts{TotalSeconds: res.TotalSeconds, Components: map[string]float64{}}
-	for _, c := range simnet.Components() {
-		if v := res.Ledger.Get(c); v != 0 {
-			p.Components[c.String()] = v
-		}
+// UnmarshalResultWire decodes a result received over the fleet wire and
+// rebuilds it around j, the receiver's own canonical Job: identity
+// fields on the wire are never trusted.
+func UnmarshalResultWire(j Job, data []byte) (JobResult, error) {
+	var e Entry
+	if err := json.Unmarshal(data, &e); err != nil {
+		return JobResult{}, fmt.Errorf("sweep: decoding wire result for %s: %w", j.Name, err)
 	}
-	if res.Curve != nil {
-		for _, pt := range res.Curve.Points {
-			p.Points = append(p.Points, Point{
-				Round: pt.Round, LatencySeconds: pt.LatencySeconds, Loss: pt.Loss, Accuracy: pt.Accuracy,
-			})
-		}
-	}
-	return p
-}
-
-// ResultFrom reconstructs a JobResult from its wire parts, paired with
-// the coordinator's own canonical Job — exactly the inverse of PartsOf,
-// mirroring how Store.Result rebuilds results from manifest entries.
-func ResultFrom(j Job, parts ResultParts) JobResult {
-	res := JobResult{Job: j, TotalSeconds: parts.TotalSeconds}
-	res.Curve = &metrics.Curve{Scheme: j.Scheme, Points: make([]metrics.Point, len(parts.Points))}
-	for i, p := range parts.Points {
-		res.Curve.Points[i] = metrics.Point{
-			Round: p.Round, LatencySeconds: p.LatencySeconds, Loss: p.Loss, Accuracy: p.Accuracy,
-		}
-	}
-	for _, c := range simnet.Components() {
-		if v, ok := parts.Components[c.String()]; ok {
-			res.Ledger.Add(c, v)
-		}
-	}
-	return res
+	return resultOf(j, &e), nil
 }
 
 // LeaseCheckpoint is the handoff state attached to a lease of a
@@ -120,113 +88,45 @@ type LeaseCheckpoint struct {
 	Ckpt     []byte
 }
 
-// LeaseCallbacks observe a leased job's execution. All callbacks are
-// invoked synchronously from the training goroutine, in round order.
+// LeaseCallbacks observe a leased job's execution. Both are invoked
+// synchronously from the training goroutine, in round order, and both
+// must be set.
 type LeaseCallbacks struct {
 	// OnRound fires after every completed round.
 	OnRound func(round, rounds int, hostSeconds float64)
-	// OnResumed fires once, before training, when the job continues from
-	// the handoff checkpoint rather than starting fresh.
-	OnResumed func(round int)
 	// OnCheckpoint fires at every checkpoint boundary with the progress
 	// sidecar and the checkpoint bytes just written. An error aborts the
 	// job (the worker lost its lease, or the coordinator is gone).
 	OnCheckpoint func(p Progress, ckpt []byte) error
 }
 
-// RunLeased executes one job on a fleet worker: the store-less mirror
-// of the Scheduler's per-job path. The sim checkpoint lives under
-// scratchDir; handoff, when valid (sim.PeekCheckpoint agrees with the
-// progress sidecar, same resume-soundness rule as the Scheduler's),
-// seeds a bit-identical mid-job resume, and is otherwise discarded —
-// never wrong, only slower. Checkpoint bytes stream back through
-// cb.OnCheckpoint for the coordinator to persist.
+// RunLeased executes one job on a fleet worker through the Scheduler's
+// executor. The sim checkpoint lives under scratchDir; each one is read
+// back and uploaded through cb.OnCheckpoint for the coordinator to
+// persist. A handoff that passes the resume rule seeds a bit-identical
+// mid-job resume and is otherwise discarded — never wrong, only slower.
 func RunLeased(ctx context.Context, j Job, scratchDir string, checkpointEvery int, handoff *LeaseCheckpoint, cb LeaseCallbacks) (JobResult, error) {
-	ckptPath := filepath.Join(scratchDir, j.ID+".ckpt")
-	defer os.Remove(ckptPath)
-
-	// Validate the handoff before running (exactly runOne's rule): the
-	// checkpoint and the progress sidecar must describe the same round
-	// boundary of the same scheme, with rounds still to run.
-	var prior Progress
-	resume := false
+	ckpt := filepath.Join(scratchDir, j.ID+".ckpt")
+	defer os.Remove(ckpt)
+	var prior *Progress
 	if handoff != nil && len(handoff.Ckpt) > 0 {
-		if err := os.WriteFile(ckptPath, handoff.Ckpt, 0o644); err != nil {
+		if err := os.WriteFile(ckpt, handoff.Ckpt, 0o644); err != nil {
 			return JobResult{}, fmt.Errorf("sweep: staging handoff checkpoint: %w", err)
 		}
-		scheme, ckptRound, peekErr := sim.PeekCheckpoint(ckptPath)
-		if peekErr == nil && scheme == j.Scheme && ckptRound == handoff.Progress.Round && ckptRound < j.Rounds {
-			prior = handoff.Progress
-			resume = true
+		if resumable(j, ckpt, handoff.Progress) {
+			prior = &handoff.Progress
 		} else {
-			os.Remove(ckptPath)
+			os.Remove(ckpt)
 		}
 	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// The accumulating observer, seeded like the Scheduler's so resumed
-	// floating-point summation order matches an uninterrupted run.
-	sum := simnet.Ledger{}
-	for _, c := range simnet.Components() {
-		if v, ok := prior.Components[c.String()]; ok {
-			sum.Add(c, v)
+	upload := func(p Progress) error {
+		data, err := os.ReadFile(ckpt)
+		if err != nil {
+			return err
 		}
+		return cb.OnCheckpoint(p, data)
 	}
-	totalSec := prior.TotalSeconds
-	var cbErr error
-	observer := sim.WithObserver(sim.ObserverFunc(func(e sim.RoundEvent) {
-		sum.Merge(e.Ledger)
-		totalSec += e.RoundSeconds
-		if e.CheckpointPath != "" && cb.OnCheckpoint != nil && cbErr == nil {
-			comp := map[string]float64{}
-			for _, c := range simnet.Components() {
-				if v := sum.Get(c); v != 0 {
-					comp[c.String()] = v
-				}
-			}
-			data, err := os.ReadFile(e.CheckpointPath)
-			if err == nil {
-				err = cb.OnCheckpoint(Progress{Round: e.Round, Components: comp, TotalSeconds: totalSec}, data)
-			}
-			if err != nil {
-				// Losing the lease (or the coordinator) aborts the job; the
-				// context cancellation lands at the next round boundary.
-				cbErr = err
-				cancel()
-			}
-		}
-		if cb.OnRound != nil {
-			cb.OnRound(e.Round, e.Rounds, e.HostSeconds)
-		}
-	}))
-	opts := []sim.RunOption{observer}
-	if checkpointEvery > 0 {
-		opts = append(opts,
-			sim.WithCheckpointPath(ckptPath),
-			sim.WithCheckpointEvery(checkpointEvery),
-		)
-	}
-
-	var (
-		res JobResult
-		err error
-	)
-	if resume {
-		if cb.OnResumed != nil {
-			cb.OnResumed(prior.Round)
-		}
-		var startRound int
-		res, startRound, err = experiment.ResumeJob(ctx, j, ckptPath, priorLedger(prior), prior.TotalSeconds, opts...)
-		if err == nil && startRound != prior.Round {
-			err = fmt.Errorf("sweep: job %s: handoff checkpoint moved from round %d to %d during resume", j.Name, prior.Round, startRound)
-		}
-	} else {
-		res, err = experiment.RunJob(ctx, j, opts...)
-	}
-	if cbErr != nil {
-		return JobResult{}, cbErr
-	}
-	return res, err
+	return execute(ctx, j, ckpt, checkpointEvery, prior, upload, func(e sim.RoundEvent) {
+		cb.OnRound(e.Round, e.Rounds, e.HostSeconds)
+	})
 }

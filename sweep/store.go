@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -15,6 +16,7 @@ import (
 	"gsfl/internal/metrics"
 	"gsfl/internal/simnet"
 	"gsfl/internal/trace"
+	"gsfl/sim"
 )
 
 // Store layout under its directory:
@@ -239,23 +241,24 @@ func (s *Store) Result(j Job) (JobResult, bool) {
 	if !ok {
 		return JobResult{}, false
 	}
-	res := JobResult{Job: j, TotalSeconds: e.TotalSeconds}
-	res.Curve = &metrics.Curve{Scheme: e.Scheme, Points: make([]metrics.Point, len(e.Points))}
+	return resultOf(j, e), true
+}
+
+// resultOf rebuilds a JobResult from an entry's results around j, the
+// caller's canonical Job: identity comes from j, never from the entry.
+func resultOf(j Job, e *Entry) JobResult {
+	res := JobResult{Job: j, TotalSeconds: e.TotalSeconds, Ledger: ledgerOf(e.Components)}
+	res.Curve = &metrics.Curve{Scheme: j.Scheme, Points: make([]metrics.Point, len(e.Points))}
 	for i, p := range e.Points {
 		res.Curve.Points[i] = metrics.Point{
 			Round: p.Round, LatencySeconds: p.LatencySeconds, Loss: p.Loss, Accuracy: p.Accuracy,
 		}
 	}
-	for _, c := range simnet.Components() {
-		if v, ok := e.Components[c.String()]; ok {
-			res.Ledger.Add(c, v)
-		}
-	}
-	return res, true
+	return res
 }
 
 // entryOf flattens a result into its manifest record.
-func (s *Store) entryOf(res JobResult) *Entry {
+func entryOf(res JobResult) *Entry {
 	e := &Entry{
 		ID:           res.Job.ID,
 		Name:         res.Job.Name,
@@ -264,13 +267,8 @@ func (s *Store) entryOf(res JobResult) *Entry {
 		EvalEvery:    res.Job.EvalEvery,
 		Seed:         res.Job.Spec.Seed,
 		TotalSeconds: res.TotalSeconds,
-		Components:   map[string]float64{},
+		Components:   componentsOf(&res.Ledger),
 		CurveFile:    filepath.Join(curvesDir, res.Job.ID+".csv"),
-	}
-	for _, c := range simnet.Components() {
-		if v := res.Ledger.Get(c); v != 0 {
-			e.Components[c.String()] = v
-		}
 	}
 	if res.Curve != nil {
 		e.FinalAccuracy = res.Curve.FinalAccuracy()
@@ -286,11 +284,34 @@ func (s *Store) entryOf(res JobResult) *Entry {
 	return e
 }
 
+// componentsOf encodes a ledger as the component-name map that
+// manifest entries and progress sidecars carry (zero components are
+// omitted); ledgerOf is its exact inverse.
+func componentsOf(l *simnet.Ledger) map[string]float64 {
+	m := map[string]float64{}
+	for _, c := range simnet.Components() {
+		if v := l.Get(c); v != 0 {
+			m[c.String()] = v
+		}
+	}
+	return m
+}
+
+func ledgerOf(m map[string]float64) simnet.Ledger {
+	var l simnet.Ledger
+	for _, c := range simnet.Components() {
+		if v, ok := m[c.String()]; ok {
+			l.Add(c, v)
+		}
+	}
+	return l
+}
+
 // Record persists a completed job: its curve CSV, then its manifest
 // line (synced, so a later crash cannot lose acknowledged work), then
 // drops the job's transient checkpoint state.
 func (s *Store) Record(res JobResult) error {
-	e := s.entryOf(res)
+	e := entryOf(res)
 	if err := trace.SaveCurvesCSV(filepath.Join(s.dir, e.CurveFile), []*metrics.Curve{res.Curve}); err != nil {
 		return err
 	}
@@ -349,20 +370,6 @@ func (s *Store) SaveProgress(j Job, p Progress) error {
 	return nil
 }
 
-// LoadProgress reads the job's progress sidecar, reporting ok=false
-// when absent or unreadable.
-func (s *Store) LoadProgress(j Job) (Progress, bool) {
-	buf, err := os.ReadFile(s.progressPath(j.ID))
-	if err != nil {
-		return Progress{}, false
-	}
-	var p Progress
-	if err := json.Unmarshal(buf, &p); err != nil {
-		return Progress{}, false
-	}
-	return p, true
-}
-
 // WriteCheckpoint atomically replaces the job's sim checkpoint with
 // bytes received from elsewhere (a fleet worker's progress upload).
 func (s *Store) WriteCheckpoint(j Job, data []byte) error {
@@ -394,19 +401,36 @@ func (s *Store) ReadCheckpoint(j Job) ([]byte, bool) {
 	return data, true
 }
 
-// HasCheckpoint reports whether an in-flight sim checkpoint exists for
-// the job.
-func (s *Store) HasCheckpoint(j Job) bool {
-	_, err := os.Stat(s.CheckpointPath(j))
-	return err == nil
-}
-
-// DropTransient removes the job's checkpoint and progress files (used
-// when falling back to a from-scratch run).
-func (s *Store) DropTransient(j Job) {
+// ResumeOrDrop returns the job's progress sidecar when its stored
+// checkpoint and sidecar pass the resume rule (resumable). Any other
+// pair (or a lone file) is deleted, so the job reruns from scratch —
+// never wrong, only slower. A job with neither file touches nothing.
+func (s *Store) ResumeOrDrop(j Job) (Progress, bool) {
+	var p Progress
+	buf, err := os.ReadFile(s.progressPath(j.ID))
+	if err == nil && json.Unmarshal(buf, &p) == nil && resumable(j, s.CheckpointPath(j), p) {
+		return p, true
+	}
+	if errors.Is(err, fs.ErrNotExist) {
+		if _, err := os.Stat(s.CheckpointPath(j)); errors.Is(err, fs.ErrNotExist) {
+			return Progress{}, false
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.dropTransientLocked(j.ID)
+	return Progress{}, false
+}
+
+// resumable is the resume rule: the checkpoint at ckpt and its progress
+// sidecar p must name j's scheme and the same completed round, with
+// rounds still left to run. The checkpoint is written before the
+// sidecar, so a crash between the two writes leaves the sidecar one
+// checkpoint behind, and seeding from it would corrupt the cumulative
+// ledger.
+func resumable(j Job, ckpt string, p Progress) bool {
+	scheme, round, err := sim.PeekCheckpoint(ckpt)
+	return err == nil && scheme == j.Scheme && round == p.Round && round < j.Rounds
 }
 
 func (s *Store) dropTransientLocked(id string) {
