@@ -52,13 +52,17 @@ func (e *EnvFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&e.Workers, "workers", 0, "worker goroutines for parallel execution (0 = GOMAXPROCS, 1 = serial)")
 }
 
-// Apply resolves the allocator, strategy, architecture, and numeric-
-// mode tokens through the env registries and writes their canonical
-// names onto spec. The numeric mode is additionally installed process-
+// Apply rejects a negative worker budget, resolves the allocator,
+// strategy, architecture, and numeric-mode tokens through the env
+// registries, and writes their canonical names onto spec. The numeric
+// mode is additionally installed process-
 // wide (env.SetNumericMode), so single-run commands whose kernels never
 // consult a Spec — gsfl-sim's Runner, checkpoint resume — honor the
 // flag too.
 func (e *EnvFlags) Apply(spec *env.Spec) error {
+	if e.Workers < 0 {
+		return fmt.Errorf("-workers must be ≥ 0 (0 = GOMAXPROCS), got %d", e.Workers)
+	}
 	alloc, err := env.CanonicalAllocator(e.Alloc)
 	if err != nil {
 		return err

@@ -53,6 +53,10 @@ func TestEnvFlags(t *testing.T) {
 	if err := bad.Apply(&spec); err == nil {
 		t.Fatal("expected architecture error")
 	}
+	bad = EnvFlags{Alloc: "uniform", Strategy: "roundrobin", Arch: env.DefaultArch, Workers: -1}
+	if err := bad.Apply(&spec); err == nil || !strings.Contains(err.Error(), "-workers") {
+		t.Fatalf("negative -workers: got %v, want a -workers error", err)
+	}
 }
 
 func TestPopFlags(t *testing.T) {

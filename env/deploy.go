@@ -37,7 +37,8 @@ type (
 	StragglerPolicy = transport.StragglerPolicy
 	// LoadGenConfig sizes a synthetic-fleet load run against one AP.
 	LoadGenConfig = transport.LoadGenConfig
-	// LoadGenReport is a load run's outcome (what BENCH_tcp.json holds).
+	// LoadGenReport is a load run's outcome (the report gsfl-loadgen
+	// writes; the benchmark's wire workload drives the same run).
 	LoadGenReport = transport.LoadGenReport
 )
 

@@ -1,5 +1,6 @@
 // Benchmarks regenerating every figure and table of the paper's
-// evaluation (see DESIGN.md's experiment index). Each benchmark prints
+// evaluation (see the README's "Which benchmark regenerates which paper
+// result" table). Each benchmark prints
 // the figure series / table rows it reproduces via b.Logf (run with
 // `go test -bench=. -benchmem -v` to see them) and reports the headline
 // quantity via b.ReportMetric.
@@ -242,7 +243,7 @@ func BenchmarkAblationResourceAllocation(b *testing.B) {
 
 // BenchmarkAblationPipelining compares sequential-stage GSFL against
 // communication/computation-overlapped turns (reference [2]'s parallel
-// design; extension P in DESIGN.md).
+// design; extension P in the README's paper-result table).
 func BenchmarkAblationPipelining(b *testing.B) {
 	spec, rounds, evalEvery := benchScale()
 	for i := 0; i < b.N; i++ {
@@ -266,7 +267,8 @@ func BenchmarkAblationPipelining(b *testing.B) {
 }
 
 // BenchmarkAblationQuantization compares float32-wire GSFL against 8-bit
-// quantized smashed-data/gradient transfers (extension Q in DESIGN.md).
+// quantized smashed-data/gradient transfers (extension Q in the README's
+// paper-result table).
 func BenchmarkAblationQuantization(b *testing.B) {
 	spec, rounds, evalEvery := benchScale()
 	for i := 0; i < b.N; i++ {
@@ -285,7 +287,7 @@ func BenchmarkAblationQuantization(b *testing.B) {
 }
 
 // BenchmarkAblationDropout sweeps per-round client unavailability
-// (extension D in DESIGN.md).
+// (extension D in the README's paper-result table).
 func BenchmarkAblationDropout(b *testing.B) {
 	spec, rounds, evalEvery := benchScale()
 	probs := []float64{0, 0.1, 0.3}
@@ -305,7 +307,7 @@ func BenchmarkAblationDropout(b *testing.B) {
 }
 
 // BenchmarkAblationNonIID sweeps data heterogeneity (Dirichlet alpha)
-// for GSFL vs FL (extension N in DESIGN.md).
+// for GSFL vs FL (extension N in the README's paper-result table).
 func BenchmarkAblationNonIID(b *testing.B) {
 	spec, rounds, evalEvery := benchScale()
 	alphas := []float64{0.1, 1, 100}
@@ -325,7 +327,7 @@ func BenchmarkAblationNonIID(b *testing.B) {
 }
 
 // BenchmarkSeedVariance reruns GSFL across seeds and reports the spread
-// of final accuracy (extension S in DESIGN.md).
+// of final accuracy (extension S in the README's paper-result table).
 func BenchmarkSeedVariance(b *testing.B) {
 	spec, rounds, evalEvery := benchScale()
 	for i := 0; i < b.N; i++ {
@@ -425,7 +427,7 @@ func BenchmarkParallelEvaluate(b *testing.B) {
 
 // BenchmarkValidationEventDriven quantifies the gap between the analytic
 // position-synchronized latency model and true event-driven processor
-// sharing (experiment V in DESIGN.md).
+// sharing (experiment V in the README's paper-result table).
 func BenchmarkValidationEventDriven(b *testing.B) {
 	spec, _, _ := benchScale()
 	for i := 0; i < b.N; i++ {

@@ -78,7 +78,8 @@ func TestFlattenAllocFree(t *testing.T) {
 
 // TestSequentialStepAllocFree drives a full CNN training step — forward,
 // zero-grads, backward — and asserts it is allocation-free after warmup,
-// which is what the per-round numbers in BENCH_hotpath.json rely on.
+// which is what the benchmark's go.allocs_per_round (paper-gsfl
+// workload, --trace 1) relies on.
 func TestSequentialStepAllocFree(t *testing.T) {
 	serialWorkers(t)
 	rng := rand.New(rand.NewSource(10))

@@ -19,7 +19,8 @@ import (
 // that: transfers progress under processor sharing — at any instant the k
 // active same-direction transfers each get budget/k Hz, converted to a
 // rate by the caller's RateFunc — and every task completion re-triggers
-// rate recomputation. Experiment V in DESIGN.md uses it to quantify the
+// rate recomputation. Experiment V (the README's "Which benchmark
+// regenerates which paper result" table) uses it to quantify the
 // approximation error of the analytic model.
 
 // TaskKind distinguishes chain task types.

@@ -60,6 +60,9 @@ type ukernFunc func(k int, ap, bp, c []float64, ldc int)
 var (
 	kernExact ukernFunc = ukernExactGeneric
 	kernFast  ukernFunc = ukernExactGeneric
+	// exactVector records that the CPU runs the vector exact kernel; the
+	// GEMM ratio gate only holds its recorded ratio there.
+	exactVector bool
 )
 
 type aKind uint8

@@ -48,6 +48,7 @@ func init() {
 	if !avx2 {
 		return
 	}
+	exactVector = true
 	kernExact = ukernExactAVX2
 	kernFast = ukernExactAVX2
 	if fma {

@@ -2,8 +2,10 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"gsfl/internal/parallel"
 )
@@ -83,7 +85,7 @@ func BenchmarkMatMulInto64(b *testing.B) {
 }
 
 // BenchmarkGEMMExact256 times the packed engine's exact micro-kernel on
-// the hot-path shape (the same 256³ matmul BENCH_hotpath.json records).
+// the hot-path shape (the 256³ matmul BenchmarkGEMMRatio256 gates).
 func BenchmarkGEMMExact256(b *testing.B) {
 	x, y := benchMatrices(256, 256, 256)
 	dst := New(256, 256)
@@ -91,6 +93,39 @@ func BenchmarkGEMMExact256(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		MatMulInto(dst, x, y)
 	}
+}
+
+// BenchmarkGEMMRatio256 is CI's GEMM perf gate. It times the serial
+// packed exact GEMM and the naiveMatMul contract reference at 256³,
+// alternating between them so that both see the same host load, and
+// reports how many times faster the packed engine is as naive/packed:
+// the ratio of the two fastest iterations, since the minimum estimates
+// what the code can do and load only ever adds to it. A ratio measured
+// in one process does not depend on the host's absolute speed, only on
+// the engine's lead over a fixed reference. The recorded ratio assumes
+// the vector exact kernel, so the benchmark skips on CPUs without it.
+func BenchmarkGEMMRatio256(b *testing.B) {
+	if !exactVector {
+		b.Skip("no vector exact GEMM kernel on this CPU")
+	}
+	parallel.SetWorkers(1)
+	defer parallel.SetWorkers(0)
+	const n = 256
+	x, y := benchMatrices(n, n, n)
+	packed, naive := New(n, n), New(n, n)
+	packedMin, naiveMin := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		MatMulInto(packed, x, y)
+		mid := time.Now()
+		naiveMatMul(naive.Data, x.Data, y.Data, n, n, n)
+		packedMin = min(packedMin, mid.Sub(start))
+		naiveMin = min(naiveMin, time.Since(mid))
+	}
+	b.ReportMetric(float64(packedMin.Nanoseconds()), "packed-min-ns")
+	b.ReportMetric(float64(naiveMin.Nanoseconds()), "naive-min-ns")
+	b.ReportMetric(float64(naiveMin)/float64(packedMin), "naive/packed")
 }
 
 // BenchmarkGEMMFast256 times the same shape under the reassociating

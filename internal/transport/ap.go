@@ -196,7 +196,6 @@ type AP struct {
 	mJoined     *metrics.Counter
 	mLeft       *metrics.Counter
 	mActive     *metrics.Gauge
-	mLastRound  *metrics.Gauge
 	hRound      *metrics.Histogram
 	hPhase      map[string]*metrics.Histogram // keyed by phaseNames
 	hFrameIn    *metrics.Histogram
@@ -324,7 +323,6 @@ func NewAPListener(ln net.Listener, cfg APConfig) (*AP, error) {
 	ap.mJoined = ap.reg.Counter("gsfl_clients_joined_total", "Successful client registrations.")
 	ap.mLeft = ap.reg.Counter("gsfl_clients_left_total", "Registered clients whose connections closed.")
 	ap.mActive = ap.reg.Gauge("gsfl_clients_active", "Currently registered clients.")
-	ap.mLastRound = ap.reg.Gauge("gsfl_round_millis", "Wall-clock duration of the last round in milliseconds.")
 	ap.hRound = ap.reg.Histogram("gsfl_round_seconds",
 		"Wall-clock round latency.", metrics.DefSecondsBuckets)
 	ap.hPhase = make(map[string]*metrics.Histogram, len(phaseNames))
@@ -700,7 +698,6 @@ func (ap *AP) Round() (RoundStats, error) {
 	ap.mStragglers.Add(int64(stats.Stragglers))
 	ap.mRounds.Inc()
 	stats.Duration = time.Since(start)
-	ap.mLastRound.Set(stats.Duration.Milliseconds())
 	ap.hRound.Observe(stats.Duration.Seconds())
 	if ap.roundTrack.On() {
 		roundSpan.EndNote(ap.roundTrack.Labelf("%d participants, %d stragglers, %d skipped",

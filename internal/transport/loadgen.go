@@ -73,7 +73,9 @@ type LoadGenConfig struct {
 	OnRound func(RoundStats)
 }
 
-// LoadGenReport is the result of a load run — what BENCH_tcp.json holds.
+// LoadGenReport is the result of a load run — the report gsfl-loadgen
+// writes. The benchmark's wire workload drives the same run and owns
+// its round-time and throughput numbers.
 type LoadGenReport struct {
 	Clients         int     `json:"clients"`
 	Groups          int     `json:"groups"`

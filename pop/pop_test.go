@@ -274,7 +274,10 @@ func TestSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestMemoryBound pins the record-array footprint: a million-member
-// population stays under 64 MB of resident record storage.
+// population feeding a cohort of 200 stays under 64 MiB and 64 B/member
+// of resident record storage, both after the first round and after 50
+// rounds of onoff churn (the event queue's capacity counts toward
+// MemoryBytes, so growth in steady state would show here).
 func TestMemoryBound(t *testing.T) {
 	cfg := testConfig()
 	cfg.Members = 1_000_000
@@ -284,15 +287,24 @@ func TestMemoryBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.BeginRound(1); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.MemoryBytes(); got > 64<<20 {
-		t.Fatalf("1M-member population uses %d bytes of record storage, budget 64 MiB", got)
-	}
-	perMember := float64(p.MemoryBytes()) / float64(cfg.Members)
-	if perMember > 64 {
-		t.Fatalf("%.1f bytes/member, want ≤ 64", perMember)
+	for r := 1; r <= 50; r++ {
+		binds, err := p.BeginRound(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(binds) > cfg.Cohort {
+			t.Fatalf("round %d: cohort of %d, want ≤ %d", r, len(binds), cfg.Cohort)
+		}
+		if r != 1 && r != 50 {
+			continue
+		}
+		got := p.MemoryBytes()
+		if got > 64<<20 {
+			t.Fatalf("round %d: 1M-member population uses %d bytes of record storage, budget 64 MiB", r, got)
+		}
+		if perMember := float64(got) / float64(cfg.Members); perMember > 64 {
+			t.Fatalf("round %d: %.1f bytes/member, want ≤ 64", r, perMember)
+		}
 	}
 }
 
